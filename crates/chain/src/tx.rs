@@ -10,7 +10,7 @@ use crate::gas;
 use crate::msg::Msg;
 use xcc_sim::prof;
 use xcc_tendermint::block::RawTx;
-use xcc_tendermint::hash::{hash_fields, sha256, Hash};
+use xcc_tendermint::hash::{hash_fields, Hash};
 
 /// A transaction: one signer, a sequence number, a fee, and a batch of
 /// messages.
@@ -47,10 +47,10 @@ pub struct Tx {
     pub memo: String,
     /// Simulated signature over the transaction body.
     pub signature: Hash,
-    /// Memoized `(encoding, hash)`, excluded from comparison, cloning and
-    /// the wire format.
+    /// Memoized encoding (which carries its hash), excluded from comparison,
+    /// cloning and the wire format.
     // xcc-lint: allow(serde-field-coverage, reason = "in-memory memo of the wire encoding; must never itself appear in the wire encoding")
-    encoded: OnceCell<(RawTx, Hash)>,
+    encoded: OnceCell<RawTx>,
 }
 
 impl Clone for Tx {
@@ -184,25 +184,24 @@ impl Tx {
     /// processing time, WebSocket frame payloads) is unchanged: JSON remains
     /// the modelled wire format and survives at the reporting boundary only.
     pub fn encode(&self) -> RawTx {
-        self.cached().0.clone()
+        self.cached().clone()
     }
 
     /// The wire byte length of [`Tx::encode`]'s result, from the cache.
     pub fn encoded_len(&self) -> usize {
-        self.cached().0.len()
+        self.cached().len()
     }
 
-    /// The memoized `(encoding, hash)` pair, computed on first use. Only
-    /// this cache-miss path counts as encoding work in the xcc-prof
-    /// counters: a cache hit performs none.
-    fn cached(&self) -> &(RawTx, Hash) {
+    /// The memoized encoding, computed (and hashed) on first use. Only this
+    /// cache-miss path counts as encoding work in the xcc-prof counters: a
+    /// cache hit performs none.
+    fn cached(&self) -> &RawTx {
         self.encoded.get_or_init(|| {
             let value = self.to_value();
             let wire_len = serde::json::encoded_len(&value);
             let raw = RawTx::with_wire_len(serde::binary::to_bytes(&value), wire_len);
             prof::bump_tx_encoded(raw.len() as u64);
-            let hash = sha256(raw.as_bytes());
-            (raw, hash)
+            raw
         })
     }
 
@@ -227,7 +226,7 @@ impl Tx {
     /// instance pays for the encoding, every later call is free. Pinned by
     /// `hash_is_stable_and_needs_one_encoding`.
     pub fn hash(&self) -> Hash {
-        self.cached().1
+        self.cached().hash()
     }
 
     /// Number of messages in the transaction.
@@ -243,6 +242,7 @@ mod tests {
     use xcc_ibc::ids::{ChannelId, PortId};
     use xcc_ibc::module::TransferParams;
     use xcc_sim::SimTime;
+    use xcc_tendermint::hash::sha256;
 
     fn transfer(amount: u128) -> Msg {
         Msg::IbcTransfer(TransferParams {

@@ -315,11 +315,11 @@ pub fn stranded_packets(run: &RunOutput) -> u64 {
         .iter()
         .zip(&run.path_ends)
         .map(|(path, &(src, _))| {
-            let chain = run.chains[src].borrow();
-            let ibc = chain.app().ibc();
-            let sent = ibc.sent_sequences(&path.port, &path.src_channel);
-            ibc.unacknowledged_packets(&path.port, &path.src_channel, &sent)
-                .len() as u64
+            run.chains[src]
+                .borrow()
+                .app()
+                .ibc()
+                .outstanding_packet_count(&path.port, &path.src_channel) as u64
         })
         .sum()
 }

@@ -490,11 +490,11 @@ pub fn run_experiment(
                             .iter()
                             .zip(&testnet.path_ends)
                             .map(|(path, &(src, _))| {
-                                let chain = testnet.chains[src].borrow();
-                                let ibc = chain.app().ibc();
-                                let sent = ibc.sent_sequences(&path.port, &path.src_channel);
-                                ibc.unacknowledged_packets(&path.port, &path.src_channel, &sent)
-                                    .len()
+                                testnet.chains[src]
+                                    .borrow()
+                                    .app()
+                                    .ibc()
+                                    .outstanding_packet_count(&path.port, &path.src_channel)
                             })
                             .sum();
                         // Forwarded second legs still sitting in a mid

@@ -37,6 +37,13 @@ pub fn packet_commitment_path(
     format!("commitments/ports/{port_id}/channels/{channel_id}/sequences/{sequence}")
 }
 
+/// Common prefix of every packet commitment path on one channel end: the
+/// [`packet_commitment_path`]s of that channel and no others start with it.
+/// The trailing `/` keeps `channel-1` from matching `channel-10`.
+pub fn packet_commitments_prefix(port_id: &PortId, channel_id: &ChannelId) -> String {
+    format!("commitments/ports/{port_id}/channels/{channel_id}/sequences/")
+}
+
 /// Path of a packet receipt (unordered channels).
 pub fn packet_receipt_path(port_id: &PortId, channel_id: &ChannelId, sequence: Sequence) -> String {
     format!("receipts/ports/{port_id}/channels/{channel_id}/sequences/{sequence}")

@@ -895,6 +895,18 @@ impl IbcModule {
             .collect()
     }
 
+    /// Number of packets sent on a channel end whose commitment is still
+    /// outstanding: neither acknowledged nor timed out. Equal to
+    /// `unacknowledged_packets(port, channel, &sent_sequences(port, channel))
+    /// .len()`, because only [`IbcModule::send_transfer`] writes a packet
+    /// commitment, but counted in one range walk of the commitment store
+    /// without building a path per packet.
+    pub fn outstanding_packet_count(&self, port: &PortId, channel: &ChannelId) -> usize {
+        self.store
+            .iter_prefix(&host::packet_commitments_prefix(port, channel))
+            .count()
+    }
+
     /// The packet originally sent with the given sequence, if this chain sent
     /// it.
     pub fn sent_packet(
@@ -938,15 +950,15 @@ impl IbcModule {
     /// Per-channel packet bookkeeping totals for one channel end (see
     /// [`ChannelPacketStats`]).
     pub fn channel_packet_stats(&self, port: &PortId, channel: &ChannelId) -> ChannelPacketStats {
-        let sent = self.sent_sequences(port, channel);
-        let outstanding = self.unacknowledged_packets(port, channel, &sent).len() as u64;
+        let sent = self.sent_sequences(port, channel).len() as u64;
+        let outstanding = self.outstanding_packet_count(port, channel) as u64;
         let acks_written = self
             .acks
             .keys()
             .filter(|(p, c, _)| p == port && c == channel)
             .count() as u64;
         ChannelPacketStats {
-            sent: sent.len() as u64,
+            sent,
             outstanding,
             acks_written,
         }
@@ -1440,6 +1452,107 @@ mod tests {
             a.unacknowledged_packets(&port, &chan_a, &[1.into(), 2.into(), 9.into()]),
             vec![Sequence::from(1), Sequence::from(2)]
         );
+    }
+
+    /// Opens `count` more channels on the connection of a
+    /// [`connected_pair`], returning their `(a, b)` ends in opening order.
+    fn open_more_channels(
+        a: &mut IbcModule,
+        b: &mut IbcModule,
+        count: usize,
+    ) -> Vec<(ChannelId, ChannelId)> {
+        let port = PortId::transfer();
+        let conn = ConnectionId::with_index(0);
+        (0..count)
+            .map(|_| {
+                let (chan_a, _) = a
+                    .chan_open_init(&port, &conn, &port, Order::Unordered)
+                    .unwrap();
+                let (chan_b, _) = b
+                    .chan_open_try(&port, &conn, &port, &chan_a, Order::Unordered)
+                    .unwrap();
+                a.chan_open_ack(&port, &chan_a, &chan_b).unwrap();
+                b.chan_open_confirm(&port, &chan_b).unwrap();
+                (chan_a, chan_b)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn outstanding_count_matches_the_sequence_scan_on_prefix_sharing_channels() {
+        let (mut a, mut b, _, _) = connected_pair();
+        let ends = open_more_channels(&mut a, &mut b, 10);
+        let port = PortId::transfer();
+        let (one_a, one_b) = ends[0].clone();
+        let (ten_a, ten_b) = ends[9].clone();
+        assert_eq!(one_a, ChannelId::with_index(1));
+        assert_eq!(ten_a, ChannelId::with_index(10));
+        let mut bank_a = TestBank::default();
+        let mut bank_b = TestBank::default();
+        bank_a.set("alice", "uatom", 1_000);
+
+        let check = |a: &IbcModule, expected: [usize; 2]| {
+            for (chan, want) in [(&one_a, expected[0]), (&ten_a, expected[1])] {
+                let sent = a.sent_sequences(&port, chan);
+                let scanned = a.unacknowledged_packets(&port, chan, &sent).len();
+                assert_eq!(a.outstanding_packet_count(&port, chan), scanned, "{chan}");
+                assert_eq!(scanned, want, "{chan}");
+                assert_eq!(a.channel_packet_stats(&port, chan).outstanding, want as u64);
+            }
+        };
+        check(&a, [0, 0]);
+
+        // Three sends on channel-1, four on channel-10; the first packet on
+        // channel-10 expires at height 6.
+        let mut on_one = Vec::new();
+        for _ in 0..3 {
+            let (packet, _) = a
+                .send_transfer(&ctx(2), &mut bank_a, &transfer_params(&one_a, 10, 1_000))
+                .unwrap();
+            on_one.push(packet);
+        }
+        let mut on_ten = Vec::new();
+        for timeout in [6, 1_000, 1_000, 1_000] {
+            let (packet, _) = a
+                .send_transfer(&ctx(2), &mut bank_a, &transfer_params(&ten_a, 10, timeout))
+                .unwrap();
+            on_ten.push(packet);
+        }
+        check(&a, [3, 4]);
+
+        // Acknowledge the second packet on channel-1.
+        sync_root(&mut b, &a, 3);
+        let packet = &on_one[1];
+        let proof = a
+            .prove_packet_commitment(&port, &one_a, packet.sequence)
+            .unwrap();
+        let (ack, _) = b
+            .recv_packet(&ctx(3), &mut bank_b, packet, &proof, Height::at(3))
+            .unwrap();
+        sync_root(&mut a, &b, 4);
+        let ack_proof = b
+            .prove_packet_acknowledgement(&port, &one_b, packet.sequence)
+            .unwrap();
+        a.acknowledge_packet(
+            &ctx(4),
+            &mut bank_a,
+            packet,
+            &ack,
+            &ack_proof,
+            Height::at(4),
+        )
+        .unwrap();
+        check(&a, [2, 4]);
+
+        // Time out the first packet on channel-10.
+        let packet = &on_ten[0];
+        sync_root(&mut a, &b, 7);
+        let non_receipt = b
+            .prove_packet_non_receipt(&port, &ten_b, packet.sequence)
+            .unwrap();
+        a.timeout_packet(&ctx(7), &mut bank_a, packet, &non_receipt, Height::at(7))
+            .unwrap();
+        check(&a, [2, 3]);
     }
 
     #[test]

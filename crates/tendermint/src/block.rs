@@ -4,7 +4,7 @@
 //! `Data` field with application-specific transactions, an `Evidence` list
 //! and a `LastCommit` carrying the previous height's pre-commit signatures.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::evidence::Evidence;
 use crate::hash::{hash_fields, sha256, Hash};
@@ -38,28 +38,36 @@ use xcc_sim::SimTime;
 /// assert_eq!(modelled.len(), 120);
 /// assert_eq!(modelled.as_bytes().len(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RawTx {
     bytes: Vec<u8>,
     wire_len: usize,
+    /// `sha256(bytes)`, computed once at construction.
+    // xcc-lint: allow(serde-field-coverage, reason = "derived from `bytes`; recomputed on deserialization so the wire can never carry a wrong hash")
+    digest: Hash,
 }
 
 impl RawTx {
     /// Wraps raw transaction bytes whose wire size equals their length.
     pub fn new(bytes: Vec<u8>) -> Self {
         let wire_len = bytes.len();
-        RawTx { bytes, wire_len }
+        Self::with_wire_len(bytes, wire_len)
     }
 
     /// Wraps a compact host payload together with the byte size the
     /// transaction occupies on the modelled wire.
     pub fn with_wire_len(bytes: Vec<u8>, wire_len: usize) -> Self {
-        RawTx { bytes, wire_len }
+        let digest = sha256(&bytes);
+        RawTx {
+            bytes,
+            wire_len,
+            digest,
+        }
     }
 
     /// The transaction hash (used as its identifier, as in `tx_search`).
     pub fn hash(&self) -> Hash {
-        sha256(&self.bytes)
+        self.digest
     }
 
     /// Size of the transaction in bytes on the modelled wire.
@@ -81,6 +89,27 @@ impl RawTx {
 impl From<Vec<u8>> for RawTx {
     fn from(bytes: Vec<u8>) -> Self {
         RawTx::new(bytes)
+    }
+}
+
+impl Serialize for RawTx {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("bytes".to_string(), self.bytes.to_value()),
+            ("wire_len".to_string(), self.wire_len.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for RawTx {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let m = v
+            .as_map()
+            .ok_or_else(|| serde::Error::custom("expected map for struct RawTx"))?;
+        Ok(RawTx::with_wire_len(
+            serde::de_field(m, "bytes")?,
+            serde::de_field(m, "wire_len")?,
+        ))
     }
 }
 
@@ -317,6 +346,31 @@ mod tests {
         let b = RawTx::new(vec![1, 2, 4]);
         assert_ne!(a.hash(), b.hash());
         assert_eq!(a.hash(), RawTx::new(vec![1, 2, 3]).hash());
+        assert_eq!(a.hash(), sha256(&[1, 2, 3]));
+    }
+
+    #[test]
+    fn raw_tx_digest_stays_off_the_wire_and_is_recomputed() {
+        let tx = RawTx::with_wire_len(vec![1, 2, 3], 120);
+        let value = tx.to_value();
+        let fields: Vec<&str> = value
+            .as_map()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(fields, ["bytes", "wire_len"]);
+        assert_eq!(RawTx::from_value(&value).unwrap(), tx);
+
+        // A smuggled digest is ignored: the hash always follows the bytes.
+        let Value::Map(mut forged) = value else {
+            unreachable!("RawTx serializes to a map")
+        };
+        forged.push(("digest".to_string(), Hash::ZERO.to_value()));
+        forged[0].1 = vec![9u8].to_value();
+        let decoded = RawTx::from_value(&Value::Map(forged)).unwrap();
+        assert_eq!(decoded.hash(), sha256(&[9]));
+        assert_eq!(decoded.len(), 120);
     }
 
     #[test]

@@ -35,10 +35,11 @@ impl Hash {
 
     /// Lower-case hexadecimal rendering of the digest.
     pub fn to_hex(&self) -> String {
+        const NIBBLES: &[u8; 16] = b"0123456789abcdef";
         let mut s = String::with_capacity(64);
         for b in self.0 {
-            s.push(char::from_digit((b >> 4) as u32, 16).expect("nibble < 16"));
-            s.push(char::from_digit((b & 0xf) as u32, 16).expect("nibble < 16"));
+            s.push(char::from(NIBBLES[usize::from(b >> 4)]));
+            s.push(char::from(NIBBLES[usize::from(b & 0xf)]));
         }
         s
     }
@@ -56,7 +57,8 @@ impl Hash {
     /// The first eight bytes of the digest interpreted as a big-endian `u64`,
     /// handy for deterministic pseudo-random decisions derived from hashes.
     pub fn to_u64(&self) -> u64 {
-        u64::from_be_bytes(self.0[..8].try_into().expect("slice of length 8"))
+        let b = &self.0;
+        u64::from_be_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
     }
 }
 
@@ -101,6 +103,10 @@ const H0: [u32; 8] = [
 
 /// Incremental SHA-256 hasher.
 ///
+/// `update` streams: it compresses whole 64-byte blocks straight from its
+/// input and buffers only a trailing partial block, so hashing costs time
+/// linear in the input however it is split across calls.
+///
 /// # Example
 ///
 /// ```rust
@@ -114,7 +120,9 @@ const H0: [u32; 8] = [
 #[derive(Debug, Clone)]
 pub struct Sha256 {
     state: [u32; 8],
-    buffer: Vec<u8>,
+    /// The pending partial block; only `buffer[..buffered]` is meaningful.
+    buffer: [u8; 64],
+    buffered: usize,
     length_bits: u64,
 }
 
@@ -129,38 +137,50 @@ impl Sha256 {
     pub fn new() -> Self {
         Sha256 {
             state: H0,
-            buffer: Vec::with_capacity(64),
+            buffer: [0u8; 64],
+            buffered: 0,
             length_bits: 0,
         }
     }
 
     /// Feeds `data` into the hasher.
-    pub fn update(&mut self, data: &[u8]) {
+    pub fn update(&mut self, mut data: &[u8]) {
         self.length_bits = self.length_bits.wrapping_add((data.len() as u64) * 8);
-        self.buffer.extend_from_slice(data);
-        while self.buffer.len() >= 64 {
-            let block: [u8; 64] = self.buffer[..64].try_into().expect("64-byte block");
-            compress(&mut self.state, &block);
-            self.buffer.drain(..64);
+        if self.buffered > 0 {
+            let take = (64 - self.buffered).min(data.len());
+            let (head, rest) = data.split_at(take);
+            self.buffer[self.buffered..self.buffered + take].copy_from_slice(head);
+            self.buffered += take;
+            data = rest;
+            if self.buffered < 64 {
+                return;
+            }
+            compress(&mut self.state, &self.buffer);
+            self.buffered = 0;
         }
+        let (blocks, rest) = data.as_chunks::<64>();
+        for block in blocks {
+            compress(&mut self.state, block);
+        }
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
     }
 
     /// Consumes the hasher and returns the digest.
     pub fn finalize(mut self) -> Hash {
-        let len_bits = self.length_bits;
-        self.buffer.push(0x80);
-        while self.buffer.len() % 64 != 56 {
-            self.buffer.push(0);
-        }
-        self.buffer.extend_from_slice(&len_bits.to_be_bytes());
-        let mut state = self.state;
-        for chunk in self.buffer.chunks_exact(64) {
-            let block: [u8; 64] = chunk.try_into().expect("64-byte block");
-            compress(&mut state, &block);
+        // Padding: 0x80, zeros, then the 64-bit big-endian bit length, making
+        // one final block, or two when fewer than 9 bytes are left in this one.
+        let mut tail = [0u8; 128];
+        tail[..self.buffered].copy_from_slice(&self.buffer[..self.buffered]);
+        tail[self.buffered] = 0x80;
+        let tail_len = if self.buffered < 56 { 64 } else { 128 };
+        tail[tail_len - 8..tail_len].copy_from_slice(&self.length_bits.to_be_bytes());
+        for block in tail[..tail_len].as_chunks::<64>().0 {
+            compress(&mut self.state, block);
         }
         let mut out = [0u8; 32];
-        for (i, word) in state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.as_chunks_mut::<4>().0.iter_mut().zip(self.state) {
+            *bytes = word.to_be_bytes();
         }
         Hash(out)
     }
@@ -168,8 +188,8 @@ impl Sha256 {
 
 fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
-    for (i, word) in w.iter_mut().take(16).enumerate() {
-        *word = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
+    for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+        *word = u32::from_be_bytes(*bytes);
     }
     for i in 16..64 {
         let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -258,15 +278,20 @@ mod tests {
         );
     }
 
+    /// Every chunk size from 1 to 130 bytes, so the partial-block top-up
+    /// meets every buffer fill level and chunks both shorter and longer
+    /// than a block.
     #[test]
     fn long_input_matches_incremental() {
-        let data = vec![0xabu8; 1_000];
+        let data = patterned(1_000);
         let one_shot = sha256(&data);
-        let mut h = Sha256::new();
-        for chunk in data.chunks(17) {
-            h.update(chunk);
+        for size in 1..=130 {
+            let mut h = Sha256::new();
+            for chunk in data.chunks(size) {
+                h.update(chunk);
+            }
+            assert_eq!(h.finalize(), one_shot, "chunk size {size}");
         }
-        assert_eq!(h.finalize(), one_shot);
     }
 
     #[test]
@@ -295,5 +320,48 @@ mod tests {
         assert_eq!(format!("{h}"), h.to_hex());
         assert_eq!(format!("{h:?}"), format!("Hash({})", h.short()));
         assert_eq!(h.to_u64(), u64::from_be_bytes(h.0[..8].try_into().unwrap()));
+    }
+
+    /// Inputs of `len` bytes with a fixed, position-dependent pattern.
+    fn patterned(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(7))
+            .collect()
+    }
+
+    /// Reference digests, checked against an independent SHA-256
+    /// implementation. The lengths straddle every padding boundary: the
+    /// empty input, one byte, the last length that pads within one block
+    /// (55), the first that needs a second padding block (56), exact blocks
+    /// and their neighbours.
+    #[test]
+    fn digests_pinned_across_padding_boundaries() {
+        let lengths = [0, 1, 55, 56, 63, 64, 65, 119, 120, 128, 1_000];
+        let digests = [
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            "ca358758f6d27e6cf45272937977a748fd88391db679ceda7dc7bf1f005ee879",
+            "8aa994584139d128848eeebc4e815639ba5ab6e6e39574195a63ac4f14f7c43b",
+            "ad574708f75c044c9b85de64cb568ee7711ff4f36448c6242f053ba8f6cc2b63",
+            "280ed3e8ff1df845b2e7dfe6ac6cee817bef20e783cc65abc41b818b4d2fe076",
+            "c6ab9724ade5b6a7a1edfffb12f3aa9181351355af8fd08c919952ad211339dd",
+            "788367c73c7ddf4c53f65e68cc0d943e6227ab55b0e78ba63ace822b1c6301c0",
+            "3d610547d68216dedf7435a4fb6260353911f6b3fd3f18805ddb8be285d726fe",
+            "1f80156a804cb7862ad113e8200e9d74499723e7c7854d5f48776d3148e09656",
+            "cc548ca2dec1f6fe4f58b2e27aa9c7521607df1130d140b55a4dad0665302356",
+            "5097e7d587352f5097062ae679f37bda5802d9f875aba14c8cb4d1a188ada179",
+        ];
+        for (len, hex) in lengths.into_iter().zip(digests) {
+            assert_eq!(sha256(&patterned(len)).to_hex(), hex, "length {len}");
+        }
+    }
+
+    #[test]
+    fn empty_updates_change_nothing() {
+        let mut h = Sha256::new();
+        h.update(b"");
+        h.update(b"ab");
+        h.update(b"");
+        h.update(b"c");
+        assert_eq!(h.finalize(), sha256(b"abc"));
     }
 }
