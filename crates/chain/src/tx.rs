@@ -347,6 +347,22 @@ mod tests {
     }
 
     #[test]
+    fn decode_rejects_nesting_beyond_the_limit() {
+        let nested = |levels: usize| {
+            let mut value = Value::Null;
+            for _ in 0..levels {
+                value = Value::Seq(vec![value]);
+            }
+            RawTx::new(serde::binary::to_bytes(&value))
+        };
+        // At the limit the bytes decode and only the Tx shape is wrong.
+        let at_limit = Tx::decode(&nested(serde::MAX_DEPTH)).unwrap_err();
+        assert!(!at_limit.reason.contains("deeper"), "{at_limit}");
+        let over = Tx::decode(&nested(serde::MAX_DEPTH + 1)).unwrap_err();
+        assert!(over.reason.contains("deeper than 128"), "{over}");
+    }
+
+    #[test]
     fn different_contents_give_different_hashes() {
         let a = Tx::new("alice".into(), 0, vec![transfer(1)], "uatom");
         let b = Tx::new("alice".into(), 0, vec![transfer(2)], "uatom");

@@ -5,7 +5,7 @@
 //! modules (Fig. 5 of the paper). The defaults reproduce the paper's
 //! experiment settings (§III-C/D).
 
-use serde::{de_field, de_field_or_default, Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use xcc_relayer::strategy::RelayerStrategy;
 use xcc_sim::SimDuration;
@@ -14,7 +14,11 @@ use crate::fault::FaultPlan;
 use crate::topology::{HopRoute, Topology};
 
 /// Parameters of the deployed testnet (the Setup module's input).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Fields marked `#[serde(default ...)]` were added after the first golden
+/// fixtures were written: JSON that lacks them parses to the value that
+/// reproduces the behaviour from before they existed.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DeploymentConfig {
     /// Identifier of the source chain.
     pub source_chain_id: String,
@@ -32,9 +36,12 @@ pub struct DeploymentConfig {
     /// Number of concurrent transfer channels opened between the two chains
     /// (the paper's testbed uses exactly 1). Every relayer serves every
     /// channel unless the strategy's channel policy dedicates instances.
+    /// Every consumer treats `0` as `1`.
+    #[serde(default = "one")]
     pub channel_count: usize,
     /// The pipeline strategy every relayer instance runs; the default is the
     /// paper's Hermes pipeline (see [`RelayerStrategy`]).
+    #[serde(default)]
     pub relayer_strategy: RelayerStrategy,
     /// Number of funded user accounts available to the workload generator.
     pub user_accounts: usize,
@@ -49,6 +56,7 @@ pub struct DeploymentConfig {
     /// ([`SweepGrid::batched_pull_per_items`](crate::sweep::SweepGrid::batched_pull_per_items)).
     /// The default (120 µs) is the cost model's calibrated value; `0` models
     /// free pagination.
+    #[serde(default = "default_batched_pull_per_item_us")]
     pub batched_pull_per_item_us: u64,
     /// When true, scenario outcomes additionally report the relayers'
     /// `broadcast_failures` counter as a metric. Off by default so the
@@ -57,12 +65,14 @@ pub struct DeploymentConfig {
     /// [`sequence_tracking`](crate::spec::ExperimentSpec::sequence_tracking)
     /// spec builder switches it on for both arms of the §V sequence-race
     /// comparison.
+    #[serde(default)]
     pub report_broadcast_failures: bool,
     /// The deterministic fault schedule injected into the run (relayer
     /// crash/restart, chain halt, block stretch, light-client expiry). The
     /// default is the empty plan, which schedules nothing — runs and fixtures
     /// written before fault injection existed are bit-identical to an
     /// explicit empty plan (see docs/DETERMINISM.md).
+    #[serde(default)]
     pub fault_plan: FaultPlan,
     /// The chain graph the testnet deploys. The default (empty) topology is
     /// the legacy-pair sentinel: it resolves to
@@ -70,6 +80,7 @@ pub struct DeploymentConfig {
     /// channels, so spec JSON written before topologies existed (every
     /// earlier golden fixture) parses to a deployment that behaves
     /// bit-identically to the old pair path.
+    #[serde(default)]
     pub topology: Topology,
     /// When true, scenario outcomes additionally report the run's
     /// deterministic work counters (`work_*` metrics — see
@@ -77,6 +88,7 @@ pub struct DeploymentConfig {
     /// default, and — unlike every unconditional field above — the key is
     /// only *serialized* when set, so specs that never asked for profiling
     /// (every committed golden fixture) keep their JSON bytes unchanged.
+    #[serde(default, skip_serializing_if = "std::ops::Not::not")]
     pub profile_work: bool,
 }
 
@@ -108,102 +120,16 @@ impl Default for DeploymentConfig {
 /// `batched_pull_per_item_us` knob overrides it.
 pub const DEFAULT_BATCHED_PULL_PER_ITEM_US: u64 = 120;
 
-// Hand-written serde impls (instead of the derive) so that configuration
-// JSON written before the `relayer_strategy` / `channel_count` fields
-// existed still parses: missing fields fall back to the paper's
-// single-channel, default-strategy deployment.
-impl Serialize for DeploymentConfig {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("source_chain_id".into(), self.source_chain_id.to_value()),
-            (
-                "destination_chain_id".into(),
-                self.destination_chain_id.to_value(),
-            ),
-            (
-                "validators_per_chain".into(),
-                self.validators_per_chain.to_value(),
-            ),
-            ("network_rtt_ms".into(), self.network_rtt_ms.to_value()),
-            (
-                "min_block_interval".into(),
-                self.min_block_interval.to_value(),
-            ),
-            ("relayer_count".into(), self.relayer_count.to_value()),
-            ("channel_count".into(), self.channel_count.to_value()),
-            ("relayer_strategy".into(), self.relayer_strategy.to_value()),
-            ("user_accounts".into(), self.user_accounts.to_value()),
-            ("account_balance".into(), self.account_balance.to_value()),
-            ("seed".into(), self.seed.to_value()),
-            (
-                "batched_pull_per_item_us".into(),
-                self.batched_pull_per_item_us.to_value(),
-            ),
-            (
-                "report_broadcast_failures".into(),
-                self.report_broadcast_failures.to_value(),
-            ),
-            ("fault_plan".into(), self.fault_plan.to_value()),
-            ("topology".into(), self.topology.to_value()),
-        ];
-        // Skip-default: emitted only when set, so pre-profiling spec JSON —
-        // every committed golden fixture — serializes byte-identically.
-        if self.profile_work {
-            fields.push(("profile_work".into(), self.profile_work.to_value()));
-        }
-        Value::Map(fields)
-    }
+fn one() -> usize {
+    1
 }
 
-impl Deserialize for DeploymentConfig {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| Error::custom("expected object for DeploymentConfig"))?;
-        let relayer_strategy = match map.iter().find(|(k, _)| k == "relayer_strategy") {
-            Some((_, value)) => RelayerStrategy::from_value(value)?,
-            None => RelayerStrategy::default(),
-        };
-        // Missing (pre-multi-channel JSON) and explicit-zero channel counts
-        // both mean the paper's single channel.
-        let channel_count = de_field_or_default::<usize>(map, "channel_count")?.max(1);
-        // A missing surcharge field (pre-calibration-axis JSON) means the
-        // cost model's calibrated default; an explicit 0 means free
-        // pagination, so the usual or-default shim does not apply here.
-        let batched_pull_per_item_us =
-            match map.iter().find(|(k, _)| k == "batched_pull_per_item_us") {
-                Some((_, value)) => u64::from_value(value)?,
-                None => DEFAULT_BATCHED_PULL_PER_ITEM_US,
-            };
-        Ok(DeploymentConfig {
-            source_chain_id: de_field(map, "source_chain_id")?,
-            destination_chain_id: de_field(map, "destination_chain_id")?,
-            validators_per_chain: de_field(map, "validators_per_chain")?,
-            network_rtt_ms: de_field(map, "network_rtt_ms")?,
-            min_block_interval: de_field(map, "min_block_interval")?,
-            relayer_count: de_field(map, "relayer_count")?,
-            channel_count,
-            relayer_strategy,
-            user_accounts: de_field(map, "user_accounts")?,
-            account_balance: de_field(map, "account_balance")?,
-            seed: de_field(map, "seed")?,
-            batched_pull_per_item_us,
-            report_broadcast_failures: de_field_or_default(map, "report_broadcast_failures")?,
-            // Missing (pre-fault-injection JSON, every earlier golden
-            // fixture) means the empty plan: inject nothing.
-            fault_plan: de_field_or_default(map, "fault_plan")?,
-            // Missing (pre-topology JSON) means the legacy-pair sentinel:
-            // the two-chain line the paper's testbed hard-wires.
-            topology: de_field_or_default(map, "topology")?,
-            // Missing (pre-profiling JSON, and every run that did not ask
-            // for counters) means profiling metrics are not emitted.
-            profile_work: de_field_or_default(map, "profile_work")?,
-        })
-    }
+fn default_batched_pull_per_item_us() -> u64 {
+    DEFAULT_BATCHED_PULL_PER_ITEM_US
 }
 
 /// Parameters of the benchmark workload (the Benchmark module's input).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadConfig {
     /// Total number of cross-chain transfers to request.
     pub total_transfers: u64,
@@ -233,6 +159,7 @@ pub struct WorkloadConfig {
     /// weighted round-robin over these weights. Empty means uniform
     /// round-robin across every open channel (and is the only sensible value
     /// for single-channel deployments).
+    #[serde(default)]
     pub channel_weights: Vec<u64>,
     /// Multi-hop routes: once a transfer submitted on a route's `first_leg`
     /// channel is acknowledged, the runner forwards it as a fresh transfer on
@@ -240,62 +167,8 @@ pub struct WorkloadConfig {
     /// transfers). Empty (the default, and the value every pre-topology JSON
     /// parses to) disables forwarding; routes whose channels are out of range
     /// for the deployed topology are ignored.
+    #[serde(default)]
     pub hop_plan: Vec<HopRoute>,
-}
-
-// Hand-written serde impls so that workload JSON written before
-// `channel_weights` existed (the golden fixtures) still parses: a missing
-// field falls back to uniform round-robin.
-impl Serialize for WorkloadConfig {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("total_transfers".into(), self.total_transfers.to_value()),
-            ("transfers_per_tx".into(), self.transfers_per_tx.to_value()),
-            (
-                "submission_blocks".into(),
-                self.submission_blocks.to_value(),
-            ),
-            (
-                "measurement_blocks".into(),
-                self.measurement_blocks.to_value(),
-            ),
-            ("timeout_blocks".into(), self.timeout_blocks.to_value()),
-            ("cli_cost_per_tx".into(), self.cli_cost_per_tx.to_value()),
-            (
-                "run_to_completion".into(),
-                self.run_to_completion.to_value(),
-            ),
-            (
-                "completion_grace_blocks".into(),
-                self.completion_grace_blocks.to_value(),
-            ),
-            ("channel_weights".into(), self.channel_weights.to_value()),
-            ("hop_plan".into(), self.hop_plan.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for WorkloadConfig {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| Error::custom("expected object for WorkloadConfig"))?;
-        let channel_weights: Vec<u64> = de_field_or_default(map, "channel_weights")?;
-        Ok(WorkloadConfig {
-            total_transfers: de_field(map, "total_transfers")?,
-            transfers_per_tx: de_field(map, "transfers_per_tx")?,
-            submission_blocks: de_field(map, "submission_blocks")?,
-            measurement_blocks: de_field(map, "measurement_blocks")?,
-            timeout_blocks: de_field(map, "timeout_blocks")?,
-            cli_cost_per_tx: de_field(map, "cli_cost_per_tx")?,
-            run_to_completion: de_field(map, "run_to_completion")?,
-            completion_grace_blocks: de_field(map, "completion_grace_blocks")?,
-            channel_weights,
-            // Missing (pre-topology JSON, every earlier golden fixture)
-            // means no multi-hop forwarding.
-            hop_plan: de_field_or_default(map, "hop_plan")?,
-        })
-    }
 }
 
 impl Default for WorkloadConfig {

@@ -16,7 +16,7 @@
 //! compiled timeline up-front, so an empty plan schedules nothing and leaves
 //! every pre-existing event ordering untouched (see docs/DETERMINISM.md).
 
-use serde::{de_field, Deserialize, Error, Serialize, Value};
+use serde::{Deserialize, Error, Serialize, Value};
 use xcc_sim::{FaultKind, FaultTimeline, SimDuration, SimTime};
 
 /// Which of the two chains a chain-level fault targets.
@@ -71,7 +71,7 @@ impl Deserialize for FaultChain {
 }
 
 /// One scheduled fault. Times are offsets from simulation start.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FaultEvent {
     /// Relayer process `relayer` crashes at `at`, losing all in-memory state
     /// (pending queues, sequence-tracker caches, inbox).
@@ -196,112 +196,10 @@ impl FaultEvent {
     }
 }
 
-impl Serialize for FaultEvent {
-    fn to_value(&self) -> Value {
-        let (tag, body) = match self {
-            FaultEvent::RelayerCrash { relayer, at } => (
-                "RelayerCrash",
-                Value::Map(vec![
-                    ("relayer".to_string(), relayer.to_value()),
-                    ("at".to_string(), at.to_value()),
-                ]),
-            ),
-            FaultEvent::RelayerRestart { relayer, at } => (
-                "RelayerRestart",
-                Value::Map(vec![
-                    ("relayer".to_string(), relayer.to_value()),
-                    ("at".to_string(), at.to_value()),
-                ]),
-            ),
-            FaultEvent::ChainHalt {
-                chain,
-                from,
-                duration,
-            } => (
-                "ChainHalt",
-                Value::Map(vec![
-                    ("chain".to_string(), chain.to_value()),
-                    ("from".to_string(), from.to_value()),
-                    ("duration".to_string(), duration.to_value()),
-                ]),
-            ),
-            FaultEvent::BlockStretch {
-                chain,
-                factor,
-                from,
-                duration,
-            } => (
-                "BlockStretch",
-                Value::Map(vec![
-                    ("chain".to_string(), chain.to_value()),
-                    ("factor".to_string(), factor.to_value()),
-                    ("from".to_string(), from.to_value()),
-                    ("duration".to_string(), duration.to_value()),
-                ]),
-            ),
-            FaultEvent::ClientExpiry { path, at } => (
-                "ClientExpiry",
-                Value::Map(vec![
-                    ("path".to_string(), path.to_value()),
-                    ("at".to_string(), at.to_value()),
-                ]),
-            ),
-        };
-        Value::Map(vec![(tag.to_string(), body)])
-    }
-}
-
-impl Deserialize for FaultEvent {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| Error::custom("expected object for FaultEvent"))?;
-        let (tag, body) = match map {
-            [(tag, body)] => (tag.as_str(), body),
-            _ => {
-                return Err(Error::custom(
-                    "expected single externally-tagged variant for FaultEvent",
-                ))
-            }
-        };
-        let fields = body
-            .as_map()
-            .ok_or_else(|| Error::custom("expected object for FaultEvent body"))?;
-        match tag {
-            "RelayerCrash" => Ok(FaultEvent::RelayerCrash {
-                relayer: de_field(fields, "relayer")?,
-                at: de_field(fields, "at")?,
-            }),
-            "RelayerRestart" => Ok(FaultEvent::RelayerRestart {
-                relayer: de_field(fields, "relayer")?,
-                at: de_field(fields, "at")?,
-            }),
-            "ChainHalt" => Ok(FaultEvent::ChainHalt {
-                chain: de_field(fields, "chain")?,
-                from: de_field(fields, "from")?,
-                duration: de_field(fields, "duration")?,
-            }),
-            "BlockStretch" => Ok(FaultEvent::BlockStretch {
-                chain: de_field(fields, "chain")?,
-                factor: de_field(fields, "factor")?,
-                from: de_field(fields, "from")?,
-                duration: de_field(fields, "duration")?,
-            }),
-            "ClientExpiry" => Ok(FaultEvent::ClientExpiry {
-                path: de_field(fields, "path")?,
-                at: de_field(fields, "at")?,
-            }),
-            other => Err(Error::custom(format!(
-                "unknown FaultEvent variant `{other}`"
-            ))),
-        }
-    }
-}
-
 /// The fault schedule of one run: a list of [`FaultEvent`]s. The default
 /// (and the value every pre-fault spec JSON parses to) is the empty plan,
 /// which injects nothing and perturbs nothing.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// The scheduled fault events, in any order; [`compile`](Self::compile)
     /// stable-sorts them by time.
@@ -364,23 +262,6 @@ impl FaultPlan {
                 .iter()
                 .map(|e| (SimTime::ZERO + e.at(), e.to_kind())),
         )
-    }
-}
-
-impl Serialize for FaultPlan {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![("events".to_string(), self.events.to_value())])
-    }
-}
-
-impl Deserialize for FaultPlan {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| Error::custom("expected object for FaultPlan"))?;
-        Ok(FaultPlan {
-            events: de_field(map, "events")?,
-        })
     }
 }
 

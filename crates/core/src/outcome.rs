@@ -1,11 +1,8 @@
 //! The unified result of any scenario run.
 //!
-//! Earlier revisions of this framework returned four divergent result structs
-//! (`TendermintRunResult`, `RelayerRunResult`, `LatencyRunResult`,
-//! `WebSocketLimitResult`). A [`ScenarioOutcome`] replaces all of them: every
-//! run — regardless of family — produces the full metric set, exposed
-//! through typed accessors and emitted as JSON or CSV through
-//! [`crate::report::ExecutionReport`].
+//! Every run, regardless of scenario family, produces a [`ScenarioOutcome`]
+//! with the full metric set, exposed through typed accessors and emitted as
+//! JSON or CSV through [`crate::report::ExecutionReport`].
 
 use std::collections::BTreeMap;
 

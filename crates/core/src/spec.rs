@@ -535,4 +535,11 @@ mod tests {
         assert_eq!(back, spec);
         assert_eq!(back.to_json(), json);
     }
+
+    #[test]
+    fn deeply_nested_json_is_an_error_not_a_stack_overflow() {
+        let deep = format!("{}{}", "[".repeat(200_000), "]".repeat(200_000));
+        let err = ExperimentSpec::from_json(&deep).unwrap_err();
+        assert!(err.to_string().contains("deeper than 128"), "{err}");
+    }
 }

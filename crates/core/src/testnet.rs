@@ -377,53 +377,6 @@ pub struct EdgeEndpoints {
     pub dst: SharedChain,
 }
 
-/// Creates the clients, connection and a single unordered transfer channel
-/// between two freshly started chains, returning the relay path.
-#[deprecated(
-    note = "construct an EdgeEndpoints topology edge and call try_open_edge_channels instead"
-)]
-pub fn open_channel(chain_a: &SharedChain, chain_b: &SharedChain) -> RelayPath {
-    let edge = EdgeEndpoints {
-        src: chain_a.clone(),
-        dst: chain_b.clone(),
-    };
-    // xcc-lint: allow(panic-in-library, reason = "deprecated compat shim: the fallible edge API is try_open_edge_channels")
-    let mut paths = try_open_edge_channels(&edge, 1).expect("handshake preconditions hold");
-    paths.remove(0)
-}
-
-/// Creates the clients, one connection, and `count` unordered transfer
-/// channels between two freshly started chains, returning one relay path per
-/// channel in channel-index order.
-#[deprecated(
-    note = "construct an EdgeEndpoints topology edge and call try_open_edge_channels instead"
-)]
-pub fn open_channels(chain_a: &SharedChain, chain_b: &SharedChain, count: usize) -> Vec<RelayPath> {
-    let edge = EdgeEndpoints {
-        src: chain_a.clone(),
-        dst: chain_b.clone(),
-    };
-    // xcc-lint: allow(panic-in-library, reason = "deprecated compat shim: the fallible edge API is try_open_edge_channels")
-    try_open_edge_channels(&edge, count).expect("handshake preconditions hold")
-}
-
-/// Fallible pair-based front end of [`try_open_edge_channels`], kept for the
-/// common case of opening channels between two chains without constructing
-/// an [`EdgeEndpoints`] by hand.
-pub fn try_open_channels(
-    chain_a: &SharedChain,
-    chain_b: &SharedChain,
-    count: usize,
-) -> Result<Vec<RelayPath>, SetupError> {
-    try_open_edge_channels(
-        &EdgeEndpoints {
-            src: chain_a.clone(),
-            dst: chain_b.clone(),
-        },
-        count,
-    )
-}
-
 /// Creates the clients, one connection, and `count` unordered transfer
 /// channels over one topology edge, returning one relay path per channel in
 /// channel-index order. Each path carries the edge's `(src, dst)` chain
@@ -610,8 +563,12 @@ mod tests {
         };
         let a = fresh("chain-a");
         let b = fresh("chain-b");
+        let edge = EdgeEndpoints {
+            src: a.clone(),
+            dst: b.clone(),
+        };
         // Neither chain has produced a block: the source chain is reported.
-        let err = try_open_channels(&a, &b, 1).unwrap_err();
+        let err = try_open_edge_channels(&edge, 1).unwrap_err();
         match &err {
             SetupError::MissingGenesisBlock { chain } => assert_eq!(chain, "chain-a"),
             other => panic!("unexpected error {other:?}"),
@@ -619,7 +576,7 @@ mod tests {
         assert!(err.to_string().contains("chain-a"));
         // With the source chain bootstrapped, the destination is next.
         a.borrow_mut().produce_block(SimTime::ZERO);
-        let err = try_open_channels(&a, &b, 1).unwrap_err();
+        let err = try_open_edge_channels(&edge, 1).unwrap_err();
         assert_eq!(
             err,
             SetupError::MissingGenesisBlock {
@@ -629,7 +586,7 @@ mod tests {
         // Both bootstrapped: the handshake succeeds end to end, and the
         // paths carry the edge's chain identifiers.
         b.borrow_mut().produce_block(SimTime::ZERO);
-        let paths = try_open_channels(&a, &b, 2).unwrap();
+        let paths = try_open_edge_channels(&edge, 2).unwrap();
         assert_eq!(paths.len(), 2);
         assert_eq!(paths[0].src_chain.as_str(), "chain-a");
         assert_eq!(paths[0].dst_chain.as_str(), "chain-b");

@@ -732,6 +732,28 @@ mod tests {
     }
 
     #[test]
+    fn serde_field_attributes_do_not_hide_fields() {
+        let f = items(
+            "pub struct DeploymentConfig {\n    #[serde(default = \"one\")]\n    pub channel_count: usize,\n    \
+             #[serde(default, skip_serializing_if = \"std::ops::Not::not\")]\n    pub profile_work: bool,\n    \
+             #[serde(default)]\n    seed: u64,\n}\n",
+        );
+        let fields: Vec<(&str, bool, usize)> = f.structs[0]
+            .fields
+            .iter()
+            .map(|fld| (fld.name.as_str(), fld.is_pub, fld.line))
+            .collect();
+        assert_eq!(
+            fields,
+            [
+                ("channel_count", true, 3),
+                ("profile_work", true, 5),
+                ("seed", false, 7)
+            ]
+        );
+    }
+
+    #[test]
     fn generic_field_types_do_not_split_fields() {
         let f =
             items("struct S {\n    pub a: BTreeMap<String, Vec<(u64, u64)>>,\n    pub b: u8,\n}\n");

@@ -1,13 +1,15 @@
 //! Acceptance tests for the spec-driven experiment API: serde round-trips,
 //! registry completeness, and parallel-vs-sequential sweep determinism.
 
-use ibc_perf_repro::framework::registry;
 use ibc_perf_repro::framework::spec::{ExperimentSpec, ScenarioKind};
 use ibc_perf_repro::framework::sweep::{self, SweepGrid, SweepMode};
 use ibc_perf_repro::framework::ScenarioOutcome;
+use ibc_perf_repro::framework::{registry, scenarios};
 
 #[test]
 fn every_spec_family_round_trips_through_serde_identically() {
+    let mut profiled = ExperimentSpec::latency().transfers(300).named("profiled");
+    profiled.deployment.profile_work = true;
     let specs = [
         ExperimentSpec::tendermint_throughput()
             .input_rate(250)
@@ -26,8 +28,16 @@ fn every_spec_family_round_trips_through_serde_identically() {
         ExperimentSpec::websocket_limit()
             .transfers(60_000)
             .named("ws"),
+        profiled,
     ];
-    for spec in specs {
+    // Every point of every registered scenario, in both sweep modes: these
+    // cover the fault plans, topologies, hop plans and strategies in use.
+    let registry_points = registry::entries().iter().flat_map(|entry| {
+        [SweepMode::Quick, SweepMode::Full]
+            .into_iter()
+            .flat_map(|mode| entry.grid(mode).points())
+    });
+    for spec in specs.into_iter().chain(registry_points) {
         let json = spec.to_json();
         let parsed = ExperimentSpec::from_json(&json).unwrap();
         assert_eq!(parsed, spec);
@@ -180,4 +190,24 @@ fn derived_seeds_give_points_independent_streams() {
     unique.sort_unstable();
     unique.dedup();
     assert_eq!(unique.len(), 3, "derived seeds must be distinct");
+}
+
+#[test]
+fn an_explicit_zero_channel_count_parses_as_zero_and_runs_as_one() {
+    let mut one = ExperimentSpec::relayer_throughput()
+        .input_rate(20)
+        .rtt_ms(0)
+        .measurement_blocks(4)
+        .seed(3);
+    one.deployment.profile_work = true;
+    let json = one.to_json();
+    let zero_json = json.replace("\"channel_count\": 1,", "\"channel_count\": 0,");
+    assert_ne!(zero_json, json);
+    let zero = ExperimentSpec::from_json(&zero_json).unwrap();
+    assert_eq!(zero.deployment.channel_count, 0);
+
+    let (a, b) = (scenarios::run(&one), scenarios::run(&zero));
+    assert!(a.completed() > 0);
+    assert!(a.metrics.keys().any(|k| k.starts_with("work_")));
+    assert_eq!(a.metrics, b.metrics);
 }
