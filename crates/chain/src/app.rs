@@ -29,7 +29,7 @@ pub const CODE_DECODE_FAILED: u32 = 2;
 /// `DeliverTx`, and a check state used by `CheckTx` so that several
 /// transactions from the same account (with consecutive sequences) can be
 /// admitted to the mempool within one block, exactly as the Cosmos SDK does.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GaiaApp {
     chain_id: String,
     fee_denom: String,
@@ -136,6 +136,26 @@ impl GaiaApp {
         self.check_accounts.sequence(address)
     }
 
+    /// `CheckTx` on a decoded transaction: the ante checks against the check
+    /// state. [`Application::check_tx`] decodes and then calls this; a caller
+    /// that built the transaction itself (the RPC layer's
+    /// `broadcast_tx_sync`) calls it directly, through
+    /// [`Chain::submit_tx`](crate::chain::Chain::submit_tx), and skips the
+    /// decode. Both give the same result for `tx` and `tx.encode()`.
+    pub fn check_decoded(&mut self, tx: &Tx) -> CheckTxResult {
+        let (code, log) = match ante::ante_handle(&mut self.check_accounts, tx) {
+            Ok(()) => (0, String::new()),
+            Err(err) => (err.code(), err.to_string()),
+        };
+        CheckTxResult {
+            code,
+            log,
+            gas_wanted: tx.gas_limit,
+            sender: tx.signer.to_string(),
+            sequence: tx.sequence,
+        }
+    }
+
     /// Executes one message against the application state.
     fn execute_msg(&mut self, msg: &Msg) -> Result<Vec<Event>, String> {
         let ctx = self.host_context();
@@ -228,32 +248,14 @@ impl GaiaApp {
 
 impl Application for GaiaApp {
     fn check_tx(&mut self, tx: &RawTx) -> CheckTxResult {
-        let decoded = match Tx::decode(tx) {
-            Ok(tx) => tx,
-            Err(e) => {
-                return CheckTxResult {
-                    code: CODE_DECODE_FAILED,
-                    log: e.to_string(),
-                    gas_wanted: 0,
-                    sender: String::new(),
-                    sequence: 0,
-                }
-            }
-        };
-        match ante::ante_handle(&mut self.check_accounts, &decoded) {
-            Ok(()) => CheckTxResult {
-                code: 0,
-                log: String::new(),
-                gas_wanted: decoded.gas_limit,
-                sender: decoded.signer.to_string(),
-                sequence: decoded.sequence,
-            },
-            Err(err) => CheckTxResult {
-                code: err.code(),
-                log: err.to_string(),
-                gas_wanted: decoded.gas_limit,
-                sender: decoded.signer.to_string(),
-                sequence: decoded.sequence,
+        match Tx::decode(tx) {
+            Ok(decoded) => self.check_decoded(&decoded),
+            Err(e) => CheckTxResult {
+                code: CODE_DECODE_FAILED,
+                log: e.to_string(),
+                gas_wanted: 0,
+                sender: String::new(),
+                sequence: 0,
             },
         }
     }
@@ -278,25 +280,24 @@ impl Application for GaiaApp {
         };
         let gas_wanted = decoded.gas_limit;
 
-        // Snapshot so a failing message reverts the whole transaction, as the
-        // Cosmos SDK does. Failed transactions still consume gas and block
-        // space, which matters for the redundant-relay experiments.
-        let snapshot = (self.accounts.clone(), self.bank.clone(), self.ibc.clone());
-
+        // A failing message reverts the whole transaction, as the Cosmos SDK
+        // does. Failed transactions still consume gas and block space, which
+        // matters for the redundant-relay experiments. Accounts and bank are
+        // small and restored from clones; the IBC state grows with traffic,
+        // so it reverts through its undo journal instead.
+        let accounts = self.accounts.clone();
         if let Err(err) = ante::ante_handle(&mut self.accounts, &decoded) {
             return Self::ante_failure(&err, gas_wanted);
         }
-        // Fee payment to the fee collector.
+        // Fee payment to the fee collector. A failed transfer changes no
+        // balance, but the sequence the ante handler consumed is given back.
         if decoded.fee.amount > 0 {
             if let Err(e) = self.bank.transfer(
                 &decoded.signer,
                 &AccountId::new(FEE_COLLECTOR),
                 &decoded.fee,
             ) {
-                let (accounts, bank, ibc) = snapshot;
                 self.accounts = accounts;
-                self.bank = bank;
-                self.ibc = ibc;
                 return DeliverTxResult {
                     code: ante::CODE_INSUFFICIENT_FUNDS,
                     log: e.to_string(),
@@ -307,6 +308,11 @@ impl Application for GaiaApp {
             }
         }
 
+        // The failed transaction keeps its fee (relayers pay for redundant
+        // deliveries, §IV-A) and its consumed account sequence, so it cannot
+        // be replayed: only the message effects revert, back to this point.
+        let bank = self.bank.clone();
+        self.ibc.begin_tx();
         let mut events = Vec::new();
         let mut gas_used = gas::TX_BASE_GAS;
         for msg in &decoded.msgs {
@@ -317,22 +323,8 @@ impl Application for GaiaApp {
                     events.append(&mut msg_events);
                 }
                 Err(log) => {
-                    let (accounts, bank, ibc) = snapshot;
-                    self.accounts = accounts;
                     self.bank = bank;
-                    self.ibc = ibc;
-                    // The failed transaction still occupies block space,
-                    // consumes gas, keeps its fee (relayers pay for redundant
-                    // deliveries, §IV-A) and uses up the account sequence so
-                    // it cannot be replayed — only the message effects revert.
-                    let _ = ante::ante_handle(&mut self.accounts, &decoded);
-                    if decoded.fee.amount > 0 {
-                        let _ = self.bank.transfer(
-                            &decoded.signer,
-                            &AccountId::new(FEE_COLLECTOR),
-                            &decoded.fee,
-                        );
-                    }
+                    self.ibc.rollback_tx();
                     return DeliverTxResult {
                         code: CODE_MSG_FAILED,
                         log,
@@ -343,6 +335,7 @@ impl Application for GaiaApp {
                 }
             }
         }
+        self.ibc.commit_tx();
 
         DeliverTxResult {
             code: 0,
@@ -442,6 +435,55 @@ mod tests {
         let res = app.check_tx(&tx0);
         assert_eq!(res.code, ante::CODE_SEQUENCE_MISMATCH);
         assert!(res.log.contains("account sequence mismatch"));
+    }
+
+    #[test]
+    fn check_decoded_equals_check_tx_of_the_encoding() {
+        let send = |signer: &str, seq: u64| {
+            Tx::new(
+                signer.into(),
+                seq,
+                vec![Msg::BankSend {
+                    from: signer.into(),
+                    to: "relayer".into(),
+                    amount: Coin::new("uatom", 1),
+                }],
+                "uatom",
+            )
+        };
+        let valid = send("user-0", 0);
+        let mut forged = valid.clone();
+        forged.signer = "user-1".into();
+        let cases = [
+            ("valid", valid.clone(), 0),
+            ("forged signer", forged, ante::CODE_UNAUTHORIZED),
+            (
+                "wrong sequence",
+                send("user-0", 3),
+                ante::CODE_SEQUENCE_MISMATCH,
+            ),
+            (
+                "empty msgs",
+                Tx::new("user-0".into(), 0, vec![], "uatom"),
+                ante::CODE_EMPTY_TX,
+            ),
+            (
+                "unknown account",
+                send("ghost", 0),
+                ante::CODE_UNKNOWN_ACCOUNT,
+            ),
+            // After `valid`, the check state expects sequence 1.
+            ("replayed", valid, ante::CODE_SEQUENCE_MISMATCH),
+        ];
+        let app = funded_app("chain-a", 2, 1_000_000);
+        let (mut direct, mut decoded) = (app.clone(), app);
+        for (name, tx, code) in cases {
+            let result = direct.check_decoded(&tx);
+            assert_eq!(result, decoded.check_tx(&tx.encode()), "{name}");
+            assert_eq!(result.code, code, "{name}: {}", result.log);
+            // The check state each path leaves behind is the same too.
+            assert!(direct == decoded, "{name}");
+        }
     }
 
     #[test]

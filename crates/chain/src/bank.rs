@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use crate::account::AccountId;
 use crate::coin::Coin;
 use xcc_ibc::transfer::BankKeeper;
-use xcc_tendermint::hash::{hash_fields, Hash};
+use xcc_tendermint::hash::{FieldHasher, Hash};
 
 /// Errors raised by bank operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,16 +153,16 @@ impl BankModule {
 
     /// A digest of the bank state, folded into the application hash.
     pub fn state_hash(&self) -> Hash {
-        let mut fields: Vec<Vec<u8>> = Vec::with_capacity(self.balances.len());
+        let mut hasher = FieldHasher::new();
         for ((addr, denom), amount) in &self.balances {
-            let mut bytes = addr.as_str().as_bytes().to_vec();
-            bytes.push(0);
-            bytes.extend_from_slice(denom.as_bytes());
-            bytes.extend_from_slice(&amount.to_be_bytes());
-            fields.push(bytes);
+            hasher.field_parts(&[
+                addr.as_str().as_bytes(),
+                &[0],
+                denom.as_bytes(),
+                &amount.to_be_bytes(),
+            ]);
         }
-        let refs: Vec<&[u8]> = fields.iter().map(|f| f.as_slice()).collect();
-        hash_fields(&refs)
+        hasher.finalize()
     }
 }
 
@@ -248,6 +248,36 @@ mod tests {
         bank.mint_coins(&"alice".into(), &Coin::new("uatom", 1));
         let h1 = bank.state_hash();
         assert_ne!(h0, h1);
+    }
+
+    #[test]
+    fn streamed_state_hash_equals_the_collected_one() {
+        let mut bank = BankModule::new();
+        for (i, denom) in ["uatom", "transfer/channel-0/stake"].iter().enumerate() {
+            for user in 0..5u128 {
+                let coin = Coin::new(*denom, (i as u128 + 1) * 1_000 + user);
+                bank.mint_coins(&format!("user-{user}").as_str().into(), &coin);
+            }
+        }
+        // The hash as built before it was streamed: every field collected,
+        // then one `hash_fields` call.
+        let fields: Vec<Vec<u8>> = bank
+            .balances
+            .iter()
+            .map(|((addr, denom), amount)| {
+                let mut bytes = addr.as_str().as_bytes().to_vec();
+                bytes.push(0);
+                bytes.extend_from_slice(denom.as_bytes());
+                bytes.extend_from_slice(&amount.to_be_bytes());
+                bytes
+            })
+            .collect();
+        let refs: Vec<&[u8]> = fields.iter().map(|f| f.as_slice()).collect();
+        assert_eq!(bank.state_hash(), xcc_tendermint::hash::hash_fields(&refs));
+        assert_eq!(
+            BankModule::new().state_hash(),
+            xcc_tendermint::hash::hash_fields(&[])
+        );
     }
 
     #[test]

@@ -141,13 +141,16 @@ impl Chain {
         self.node.submit_tx(raw, now)
     }
 
-    /// Encodes and submits a transaction.
+    /// Encodes and submits a transaction. `CheckTx` runs on `tx` itself
+    /// ([`GaiaApp::check_decoded`]) rather than on a decode of its bytes;
+    /// the result is the same as [`Chain::submit_raw_tx`] of `tx.encode()`.
     ///
     /// # Errors
     ///
     /// Fails when `CheckTx` rejects the transaction or the mempool is full.
     pub fn submit_tx(&mut self, tx: &Tx, now: SimTime) -> Result<Hash, SubmitError> {
-        self.submit_raw_tx(tx.encode(), now)
+        self.node
+            .submit_tx_with(tx.encode(), now, |app, _| app.check_decoded(tx))
     }
 
     /// Produces and commits the next block, reaping the mempool at
@@ -248,6 +251,50 @@ mod tests {
         chain
             .submit_tx(&send_tx("user-0", 1), SimTime::from_secs(5))
             .unwrap();
+    }
+
+    #[test]
+    fn submitting_a_tx_equals_submitting_its_encoding() {
+        let mut forged = send_tx("user-1", 0);
+        forged.signer = "user-2".into();
+        let txs = [
+            send_tx("user-0", 0),
+            // A resubmission: the check state has moved on, so CheckTx
+            // refuses it with a sequence mismatch.
+            send_tx("user-0", 0),
+            send_tx("user-0", 1),
+            send_tx("user-0", 7),
+            forged,
+            Tx::new("user-3".into(), 0, vec![], "uatom"),
+            send_tx("ghost", 0),
+        ];
+        let (mut direct, mut encoded) = (funded_chain(), funded_chain());
+        for tx in &txs {
+            let result = direct.submit_tx(tx, SimTime::ZERO);
+            assert_eq!(result, encoded.submit_raw_tx(tx.encode(), SimTime::ZERO));
+            assert_eq!(direct.tx_status(&tx.hash()), encoded.tx_status(&tx.hash()));
+            assert_eq!(direct.mempool_size(), encoded.mempool_size());
+            let sender = tx.signer.as_str();
+            assert_eq!(
+                direct.mempool_pending_from(sender),
+                encoded.mempool_pending_from(sender)
+            );
+            assert!(direct.app() == encoded.app());
+        }
+        assert_eq!(direct.mempool_size(), 2);
+    }
+
+    #[test]
+    fn undecodable_bytes_still_fail_checktx() {
+        let mut chain = funded_chain();
+        let err = chain
+            .submit_raw_tx(RawTx::new(b"garbage".to_vec()), SimTime::ZERO)
+            .unwrap_err();
+        assert!(
+            matches!(err, SubmitError::CheckTxFailed { code, .. } if code == crate::app::CODE_DECODE_FAILED),
+            "{err}"
+        );
+        assert_eq!(chain.mempool_size(), 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::gas;
 use crate::msg::Msg;
 use xcc_sim::prof;
 use xcc_tendermint::block::RawTx;
-use xcc_tendermint::hash::{hash_fields, Hash};
+use xcc_tendermint::hash::{FieldHasher, Hash};
 
 /// A transaction: one signer, a sequence number, a fee, and a batch of
 /// messages.
@@ -153,17 +153,17 @@ impl Tx {
     }
 
     fn body_digest(signer: &AccountId, sequence: u64, msgs: &[Msg], fee: &Coin) -> Hash {
-        let mut fields: Vec<Vec<u8>> = Vec::with_capacity(msgs.len() + 3);
-        fields.push(signer.as_str().as_bytes().to_vec());
-        fields.push(sequence.to_be_bytes().to_vec());
-        fields.push(fee.to_string().into_bytes());
+        let mut hasher = FieldHasher::new();
+        hasher.field(signer.as_str().as_bytes());
+        hasher.field(&sequence.to_be_bytes());
+        hasher.field(fee.to_string().as_bytes());
         for msg in msgs {
-            let mut bytes = msg.type_url().as_bytes().to_vec();
-            bytes.extend_from_slice(&(msg.encoded_size() as u64).to_be_bytes());
-            fields.push(bytes);
+            hasher.field_parts(&[
+                msg.type_url().as_bytes(),
+                &(msg.encoded_size() as u64).to_be_bytes(),
+            ]);
         }
-        let refs: Vec<&[u8]> = fields.iter().map(|f| f.as_slice()).collect();
-        hash_fields(&refs)
+        hasher.finalize()
     }
 
     /// Whether the transaction's signature matches its contents and claimed
@@ -360,6 +360,35 @@ mod tests {
         assert!(!at_limit.reason.contains("deeper"), "{at_limit}");
         let over = Tx::decode(&nested(serde::MAX_DEPTH + 1)).unwrap_err();
         assert!(over.reason.contains("deeper than 128"), "{over}");
+    }
+
+    /// The digest as built before it was streamed: every field collected,
+    /// then one `hash_fields` call. Signatures must not change.
+    fn collected_body_digest(tx: &Tx) -> Hash {
+        let mut fields: Vec<Vec<u8>> = vec![
+            tx.signer.as_str().as_bytes().to_vec(),
+            tx.sequence.to_be_bytes().to_vec(),
+            tx.fee.to_string().into_bytes(),
+        ];
+        for msg in &tx.msgs {
+            let mut bytes = msg.type_url().as_bytes().to_vec();
+            bytes.extend_from_slice(&(msg.encoded_size() as u64).to_be_bytes());
+            fields.push(bytes);
+        }
+        let refs: Vec<&[u8]> = fields.iter().map(|f| f.as_slice()).collect();
+        xcc_tendermint::hash::hash_fields(&refs)
+    }
+
+    #[test]
+    fn streamed_body_digest_equals_the_collected_one() {
+        for msgs in [vec![], vec![transfer(1)], (1..=100).map(transfer).collect()] {
+            let tx = Tx::new("alice".into(), 9, msgs, "uatom");
+            assert_eq!(
+                Tx::body_digest(&tx.signer, tx.sequence, &tx.msgs, &tx.fee),
+                collected_body_digest(&tx)
+            );
+            assert!(tx.verify_signature());
+        }
     }
 
     #[test]

@@ -165,10 +165,10 @@ impl CommitmentStore {
         self.entries.is_empty()
     }
 
-    /// Sets the commitment at `path`.
-    pub fn set(&mut self, path: impl Into<String>, value: Hash) {
-        self.entries.insert(path.into(), value);
+    /// Sets the commitment at `path`, returning the one it replaced.
+    pub fn set(&mut self, path: impl Into<String>, value: Hash) -> Option<Hash> {
         self.tree.take();
+        self.entries.insert(path.into(), value)
     }
 
     /// Reads the commitment at `path`.

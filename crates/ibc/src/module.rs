@@ -74,8 +74,11 @@ pub struct ChannelPacketStats {
     pub acks_written: u64,
 }
 
+/// A packet's key in the per-packet maps: port, channel and sequence.
+type PacketKey = (PortId, ChannelId, Sequence);
+
 /// The IBC module state hosted by one chain.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IbcModule {
     chain_id: String,
     clients: BTreeMap<ClientId, ClientRecord>,
@@ -85,8 +88,40 @@ pub struct IbcModule {
     channels: BTreeMap<(PortId, ChannelId), ChannelEnd>,
     channel_counter: u64,
     store: CommitmentStore,
-    sent_packets: BTreeMap<(PortId, ChannelId, Sequence), Packet>,
-    acks: BTreeMap<(PortId, ChannelId, Sequence), Acknowledgement>,
+    sent_packets: BTreeMap<PacketKey, Packet>,
+    acks: BTreeMap<PacketKey, Acknowledgement>,
+    /// The open transaction's checkpoint, between [`IbcModule::begin_tx`]
+    /// and [`IbcModule::commit_tx`] / [`IbcModule::rollback_tx`].
+    journal: Option<TxJournal>,
+}
+
+/// What [`IbcModule::rollback_tx`] needs to return the module to its state
+/// at [`IbcModule::begin_tx`].
+///
+/// The store, `sent_packets` and `acks` grow with every packet, so copying
+/// them per transaction costs O(state); their writes are logged with the
+/// prior value instead, O(writes). Clients, connections, channels and the
+/// counters stay small (one entry per handshake, one consensus state per
+/// client update), so they are copied whole.
+#[derive(Debug, Clone, PartialEq)]
+struct TxJournal {
+    clients: BTreeMap<ClientId, ClientRecord>,
+    client_counter: u64,
+    connections: BTreeMap<ConnectionId, ConnectionEnd>,
+    connection_counter: u64,
+    channels: BTreeMap<(PortId, ChannelId), ChannelEnd>,
+    channel_counter: u64,
+    /// Writes to the growing maps in the order they were made, each with
+    /// the value it replaced (`None`: the key was absent).
+    undo: Vec<Undo>,
+}
+
+/// One logged write: the key written and the value it replaced.
+#[derive(Debug, Clone, PartialEq)]
+enum Undo {
+    Store(String, Option<Hash>),
+    SentPacket(PacketKey, Option<Packet>),
+    Ack(PacketKey, Option<Acknowledgement>),
 }
 
 impl IbcModule {
@@ -103,6 +138,7 @@ impl IbcModule {
             store: CommitmentStore::new(),
             sent_packets: BTreeMap::new(),
             acks: BTreeMap::new(),
+            journal: None,
         }
     }
 
@@ -114,6 +150,85 @@ impl IbcModule {
     /// The current IBC commitment root (folded into the host's app hash).
     pub fn commitment_root(&self) -> CommitmentRoot {
         self.store.root()
+    }
+
+    // ------------------------------------------------------------------
+    // Transaction checkpoints
+    // ------------------------------------------------------------------
+
+    /// Opens a checkpoint: every change from here on is undone by
+    /// [`IbcModule::rollback_tx`] or kept by [`IbcModule::commit_tx`]. The
+    /// host opens one per transaction so that a failing message reverts the
+    /// transaction's earlier messages too. Opening a checkpoint while one is
+    /// open keeps the open one's changes, as if it had been committed.
+    pub fn begin_tx(&mut self) {
+        self.journal = Some(TxJournal {
+            clients: self.clients.clone(),
+            client_counter: self.client_counter,
+            connections: self.connections.clone(),
+            connection_counter: self.connection_counter,
+            channels: self.channels.clone(),
+            channel_counter: self.channel_counter,
+            undo: Vec::new(),
+        });
+    }
+
+    /// Closes the open checkpoint and keeps its changes. Without an open
+    /// checkpoint this does nothing.
+    pub fn commit_tx(&mut self) {
+        self.journal = None;
+    }
+
+    /// Closes the open checkpoint and undoes its changes, leaving the module
+    /// equal to its state at [`IbcModule::begin_tx`]. Store writes are
+    /// replayed in reverse through [`CommitmentStore::set`] and
+    /// [`CommitmentStore::delete`], so the Merkle memo is invalidated like on
+    /// any other write. Without an open checkpoint this does nothing.
+    pub fn rollback_tx(&mut self) {
+        let Some(journal) = self.journal.take() else {
+            return;
+        };
+        self.clients = journal.clients;
+        self.client_counter = journal.client_counter;
+        self.connections = journal.connections;
+        self.connection_counter = journal.connection_counter;
+        self.channels = journal.channels;
+        self.channel_counter = journal.channel_counter;
+        for undo in journal.undo.into_iter().rev() {
+            match undo {
+                Undo::Store(path, Some(prior)) => {
+                    self.store.set(path, prior);
+                }
+                Undo::Store(path, None) => {
+                    self.store.delete(&path);
+                }
+                Undo::SentPacket(key, prior) => restore(&mut self.sent_packets, key, prior),
+                Undo::Ack(key, prior) => restore(&mut self.acks, key, prior),
+            }
+        }
+    }
+
+    /// Writes `value` at `path` in the commitment store, logging the prior
+    /// value while a checkpoint is open.
+    fn store_set(&mut self, path: String, value: Hash) {
+        match &mut self.journal {
+            Some(journal) => {
+                let prior = self.store.set(path.clone(), value);
+                journal.undo.push(Undo::Store(path, prior));
+            }
+            None => {
+                self.store.set(path, value);
+            }
+        }
+    }
+
+    /// Deletes `path` from the commitment store, logging the prior value
+    /// while a checkpoint is open.
+    fn store_delete(&mut self, path: &str) {
+        let prior = self.store.delete(path);
+        if let (Some(journal), Some(_)) = (&mut self.journal, prior) {
+            journal.undo.push(Undo::Store(path.to_string(), prior));
+        }
     }
 
     // ------------------------------------------------------------------
@@ -131,12 +246,11 @@ impl IbcModule {
         self.client_counter += 1;
         let record = ClientRecord::create(client_id.clone(), initial_header, ibc_root);
         let height = record.latest_height();
-        self.store.set(
+        self.store_set(
             host::client_state_path(&client_id),
             hash_fields(&[b"client-state", initial_header.chain_id.as_bytes()]),
         );
-        self.store
-            .set(host::consensus_state_path(&client_id, height), ibc_root);
+        self.store_set(host::consensus_state_path(&client_id, height), ibc_root);
         self.clients.insert(client_id.clone(), record);
         let event = Event::new("create_client")
             .with_attr("client_id", client_id.as_str())
@@ -161,7 +275,7 @@ impl IbcModule {
                 client_id: client_id.clone(),
             })?;
         let height = record.update(update)?;
-        self.store.set(
+        self.store_set(
             host::consensus_state_path(client_id, height),
             update.ibc_root,
         );
@@ -511,7 +625,7 @@ impl IbcModule {
         };
 
         // Store the commitment and bump the send sequence.
-        self.store.set(
+        self.store_set(
             host::packet_commitment_path(&params.source_port, &params.source_channel, sequence),
             packet.commitment(),
         );
@@ -519,14 +633,15 @@ impl IbcModule {
         end.next_sequence_send = sequence.next();
         let end = end.clone();
         self.write_channel(&params.source_port, &params.source_channel, end);
-        self.sent_packets.insert(
-            (
-                params.source_port.clone(),
-                params.source_channel.clone(),
-                sequence,
-            ),
-            packet.clone(),
+        let key = (
+            params.source_port.clone(),
+            params.source_channel.clone(),
+            sequence,
         );
+        let prior = self.sent_packets.insert(key.clone(), packet.clone());
+        if let Some(journal) = &mut self.journal {
+            journal.undo.push(Undo::SentPacket(key, prior));
+        }
 
         let event = events::send_packet_event(&packet);
         Ok((packet, vec![event]))
@@ -618,21 +733,22 @@ impl IbcModule {
         let ack = transfer::on_recv_packet(bank, packet);
 
         // Record receipt and acknowledgement.
-        self.store.set(receipt_path, hash_fields(&[b"receipt"]));
+        self.store_set(receipt_path, hash_fields(&[b"receipt"]));
         let ack_path = host::packet_acknowledgement_path(
             &packet.destination_port,
             &packet.destination_channel,
             packet.sequence,
         );
-        self.store.set(ack_path, ack.commitment());
-        self.acks.insert(
-            (
-                packet.destination_port.clone(),
-                packet.destination_channel.clone(),
-                packet.sequence,
-            ),
-            ack.clone(),
+        self.store_set(ack_path, ack.commitment());
+        let key = (
+            packet.destination_port.clone(),
+            packet.destination_channel.clone(),
+            packet.sequence,
         );
+        let prior = self.acks.insert(key.clone(), ack.clone());
+        if let Some(journal) = &mut self.journal {
+            journal.undo.push(Undo::Ack(key, prior));
+        }
         if channel.ordering == Order::Ordered {
             let end = self.channel_mut(&packet.destination_port, &packet.destination_channel)?;
             end.next_sequence_recv = end.next_sequence_recv.next();
@@ -707,7 +823,7 @@ impl IbcModule {
 
         // Application callback (refund on error ack), then clean up.
         transfer::on_acknowledgement(bank, packet, ack)?;
-        self.store.delete(&commitment_path);
+        self.store_delete(&commitment_path);
 
         Ok(vec![events::ack_packet_event(packet)])
     }
@@ -795,7 +911,7 @@ impl IbcModule {
 
         // Refund and clean up (OnPacketTimeout in Fig. 3 of the paper).
         transfer::refund(bank, packet)?;
-        self.store.delete(&commitment_path);
+        self.store_delete(&commitment_path);
 
         Ok(vec![events::timeout_packet_event(packet)])
     }
@@ -1002,7 +1118,7 @@ impl IbcModule {
     }
 
     fn write_connection(&mut self, connection_id: &ConnectionId, end: ConnectionEnd) {
-        self.store.set(
+        self.store_set(
             host::connection_path(connection_id),
             hash_fields(&[
                 b"connection-end",
@@ -1014,7 +1130,7 @@ impl IbcModule {
     }
 
     fn write_channel(&mut self, port_id: &PortId, channel_id: &ChannelId, end: ChannelEnd) {
-        self.store.set(
+        self.store_set(
             host::channel_path(port_id, channel_id),
             hash_fields(&[
                 b"channel-end",
@@ -1071,12 +1187,21 @@ impl IbcModule {
     }
 }
 
+/// Puts `prior` back at `key`: the value a journaled write replaced, or
+/// nothing if the key was absent.
+fn restore<V>(map: &mut BTreeMap<PacketKey, V>, key: PacketKey, prior: Option<V>) {
+    match prior {
+        Some(value) => map.insert(key, value),
+        None => map.remove(&key),
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
 
-    #[derive(Debug, Default)]
+    #[derive(Debug, Clone, Default)]
     struct TestBank {
         balances: BTreeMap<(String, String), u128>,
     }
@@ -1650,5 +1775,259 @@ mod tests {
             .chan_open_init(&port, &ConnectionId::with_index(7), &port, Order::Unordered)
             .unwrap_err();
         assert!(matches!(err, IbcError::ConnectionNotFound { .. }));
+    }
+
+    /// Chain A with work ready for every packet handler: packets B sent for
+    /// A to receive, packets B received for A to acknowledge, and expired
+    /// packets for A to time out, each with the proof its handler needs.
+    struct RollbackWorld {
+        a: IbcModule,
+        bank: TestBank,
+        chan_a: ChannelId,
+        recvs: Vec<(Packet, CommitmentProof)>,
+        acks: Vec<(Packet, Acknowledgement, CommitmentProof)>,
+        timeouts: Vec<(Packet, NonMembershipProof)>,
+        /// The first packet of `recvs` and of `acks`, kept when used.
+        first_recv: Packet,
+        first_ack: Packet,
+    }
+
+    fn rollback_world() -> RollbackWorld {
+        let (mut a, mut b, chan_a, chan_b) = connected_pair();
+        let port = PortId::transfer();
+        let mut bank = TestBank::default();
+        let mut bank_b = TestBank::default();
+        bank.set("alice", "uatom", 1_000_000);
+        bank_b.set("alice", "uatom", 1_000_000);
+        let send = |m: &mut IbcModule, bank: &mut TestBank, chan, amount, timeout| {
+            let params = transfer_params(chan, amount, timeout);
+            m.send_transfer(&ctx(2), bank, &params).unwrap().0
+        };
+        let from_b: Vec<Packet> = (0..4)
+            .map(|i| send(&mut b, &mut bank_b, &chan_b, 10 + i, 1_000))
+            .collect();
+        let to_ack: Vec<Packet> = (0..4)
+            .map(|i| send(&mut a, &mut bank, &chan_a, 20 + i, 1_000))
+            .collect();
+        let to_time_out: Vec<Packet> = (0..4)
+            .map(|i| send(&mut a, &mut bank, &chan_a, 30 + i, 3))
+            .collect();
+
+        sync_root(&mut b, &a, 2);
+        let written: Vec<Acknowledgement> = to_ack
+            .iter()
+            .map(|p| {
+                let proof = a.prove_packet_commitment(&port, &chan_a, p.sequence);
+                b.recv_packet(&ctx(2), &mut bank_b, p, &proof.unwrap(), Height::at(2))
+                    .unwrap()
+                    .0
+            })
+            .collect();
+        sync_root(&mut a, &b, 5);
+
+        let (first_recv, first_ack) = (from_b[0].clone(), to_ack[0].clone());
+        let recvs = from_b
+            .into_iter()
+            .map(|p| {
+                let proof = b.prove_packet_commitment(&port, &chan_b, p.sequence);
+                (p, proof.unwrap())
+            })
+            .collect();
+        let acks = to_ack
+            .into_iter()
+            .zip(written)
+            .map(|(p, ack)| {
+                let proof = b.prove_packet_acknowledgement(&port, &chan_b, p.sequence);
+                (p, ack, proof.unwrap())
+            })
+            .collect();
+        let timeouts = to_time_out
+            .into_iter()
+            .map(|p| {
+                let proof = b.prove_packet_non_receipt(&port, &chan_b, p.sequence);
+                (p, proof.unwrap())
+            })
+            .collect();
+        RollbackWorld {
+            a,
+            bank,
+            chan_a,
+            recvs,
+            acks,
+            timeouts,
+            first_recv,
+            first_ack,
+        }
+    }
+
+    impl RollbackWorld {
+        /// Runs handler `kind` (0 transfer, 1 recv, 2 ack, 3 timeout, 4
+        /// client refresh) on the next unused item of its kind, or a transfer
+        /// once those run out. Every one of these succeeds.
+        fn run(&mut self, kind: u8, step: usize) -> Result<(), IbcError> {
+            let c = ctx(6);
+            let bank = &mut self.bank;
+            match kind {
+                1 if !self.recvs.is_empty() => {
+                    let (p, proof) = self.recvs.remove(0);
+                    self.a
+                        .recv_packet(&c, bank, &p, &proof, Height::at(5))
+                        .map(drop)
+                }
+                2 if !self.acks.is_empty() => {
+                    let (p, ack, proof) = self.acks.remove(0);
+                    self.a
+                        .acknowledge_packet(&c, bank, &p, &ack, &proof, Height::at(5))
+                        .map(drop)
+                }
+                3 if !self.timeouts.is_empty() => {
+                    let (p, proof) = self.timeouts.remove(0);
+                    self.a
+                        .timeout_packet(&c, bank, &p, &proof, Height::at(5))
+                        .map(drop)
+                }
+                4 => {
+                    let source = self.a.clone();
+                    sync_root(&mut self.a, &source, 10 + step as u64);
+                    Ok(())
+                }
+                _ => {
+                    let params = transfer_params(&self.chan_a, 1 + step as u128, 1_000);
+                    self.a.send_transfer(&c, bank, &params).map(drop)
+                }
+            }
+        }
+
+        /// Runs a handler call that fails: (0) a transfer on an unknown
+        /// channel, (1) a recv, (2) an ack with a proof of the wrong path, or
+        /// (3) a timeout of a packet that has not expired. Whether or not the
+        /// batch already used the packet, the call fails.
+        fn fail(&mut self, kind: u8) -> Result<(), IbcError> {
+            let c = ctx(6);
+            let bank = &mut self.bank;
+            let channel_path = host::channel_path(&PortId::transfer(), &self.chan_a);
+            let wrong = self.a.store.prove_membership(&channel_path).unwrap();
+            let h = Height::at(5);
+            let result = match kind {
+                0 => {
+                    let params = transfer_params(&ChannelId::with_index(9), 1, 1_000);
+                    self.a.send_transfer(&c, bank, &params).map(drop)
+                }
+                1 => self
+                    .a
+                    .recv_packet(&c, bank, &self.first_recv, &wrong, h)
+                    .map(drop),
+                2 => {
+                    let ack = Acknowledgement::error("forged");
+                    self.a
+                        .acknowledge_packet(&c, bank, &self.first_ack, &ack, &wrong, h)
+                        .map(drop)
+                }
+                _ => {
+                    let proof = NonMembershipProof {
+                        path: String::new(),
+                        root: wrong.root,
+                    };
+                    self.a
+                        .timeout_packet(&c, bank, &self.first_ack, &proof, h)
+                        .map(drop)
+                }
+            };
+            assert!(result.is_err(), "failing kind {kind} succeeded");
+            result
+        }
+    }
+
+    /// The store rebuilt entry by entry: no memo, no history.
+    fn fresh_store(module: &IbcModule) -> CommitmentStore {
+        let mut fresh = CommitmentStore::new();
+        for (path, value) in module.store.iter_prefix("") {
+            fresh.set(path.clone(), *value);
+        }
+        fresh
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// A batch of handler calls in one checkpoint, one of which fails,
+        /// leaves no trace after `rollback_tx`, and the same batch without
+        /// the failure, committed, equals the batch run with no checkpoint.
+        #[test]
+        fn rollback_restores_the_state_at_begin_tx(
+            kinds in prop::collection::vec(0u8..5, 0..12),
+            fail_at in any::<prop::sample::Index>(),
+            fail_kind in 0u8..4,
+        ) {
+            let mut world = rollback_world();
+            let before = world.a.clone();
+            let root_before = world.a.commitment_root();
+            let fail_at = fail_at.index(kinds.len() + 1);
+
+            world.a.begin_tx();
+            let mut received = Vec::new();
+            for (step, &kind) in kinds[..fail_at].iter().enumerate() {
+                if kind == 1 {
+                    received.extend(world.recvs.first().map(|(p, _)| p.clone()));
+                }
+                world.run(kind, step).unwrap();
+                // Build the Merkle memo mid-transaction, so a rollback that
+                // left it in place would show a stale root below.
+                let _ = world.a.commitment_root();
+            }
+            prop_assert!(world.fail(fail_kind).is_err());
+            world.a.rollback_tx();
+
+            prop_assert!(world.a == before, "state after rollback differs");
+            prop_assert_eq!(world.a.commitment_root(), root_before);
+            let fresh = fresh_store(&world.a);
+            prop_assert_eq!(world.a.commitment_root(), fresh.root());
+            for (path, _) in fresh.iter_prefix("") {
+                prop_assert_eq!(
+                    world.a.store.prove_membership(path),
+                    fresh.prove_membership(path)
+                );
+            }
+            for p in &received {
+                let (port, chan) = (&p.destination_port, &p.destination_channel);
+                prop_assert!(!world.a.has_receipt(port, chan, p.sequence));
+                prop_assert!(world.a.packet_acknowledgement(port, chan, p.sequence).is_none());
+            }
+
+            // Committed, the batch keeps exactly its changes.
+            let mut journaled = rollback_world();
+            let mut plain = rollback_world();
+            journaled.a.begin_tx();
+            for (step, &kind) in kinds.iter().enumerate() {
+                journaled.run(kind, step).unwrap();
+                plain.run(kind, step).unwrap();
+            }
+            journaled.a.commit_tx();
+            prop_assert!(journaled.a == plain.a, "committed state differs");
+            prop_assert_eq!(journaled.a.commitment_root(), fresh_store(&plain.a).root());
+        }
+    }
+
+    #[test]
+    fn checkpoint_calls_without_an_open_checkpoint_do_nothing() {
+        let (mut a, _, chan_a, _) = connected_pair();
+        let before = a.clone();
+        a.rollback_tx();
+        a.commit_tx();
+        assert!(a == before);
+
+        // A second `begin_tx` keeps what the first one's writes did.
+        let mut bank = TestBank::default();
+        bank.set("alice", "uatom", 100);
+        a.begin_tx();
+        let params = transfer_params(&chan_a, 5, 1_000);
+        a.send_transfer(&ctx(2), &mut bank, &params).unwrap();
+        let after_send = a.clone();
+        a.begin_tx();
+        a.rollback_tx();
+        assert_eq!(a.commitment_root(), after_send.commitment_root());
+        assert_eq!(a.sent_sequences(&PortId::transfer(), &chan_a).len(), 1);
     }
 }

@@ -263,14 +263,14 @@ impl RpcEndpoint {
         tx: &Tx,
     ) -> RpcResponse<Result<Hash, BroadcastError>> {
         let msg_count = tx.msg_count();
-        let raw = tx.encode();
         // The transaction reaches the node one network hop after the caller
         // sends it; blocks proposed before that instant cannot include it.
         let arrival = now + self.latency.sample_one_way(&mut self.rng);
-        let result = {
-            let mut chain = self.chain.borrow_mut();
-            chain.submit_raw_tx(raw, arrival)
-        };
+        // The node's `CheckTx` runs on the caller's `Tx` itself, not on a
+        // decode of its bytes: in process no wire is crossed, and the
+        // simulated `CheckTx` time is charged by the `BroadcastTxSync`
+        // service cost either way.
+        let result = self.chain.borrow_mut().submit_tx(tx, arrival);
         let value = result.map_err(|e| match e {
             xcc_tendermint::node::SubmitError::CheckTxFailed { code, log } => {
                 BroadcastError::CheckTxFailed { code, log }

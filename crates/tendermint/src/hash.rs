@@ -239,15 +239,61 @@ pub fn sha256(data: &[u8]) -> Hash {
     hasher.finalize()
 }
 
-/// Hashes the concatenation of several byte slices, with a one-byte length
-/// domain separator between fields to avoid ambiguity.
+/// Hashes several byte fields, each prefixed by its length as a big-endian
+/// `u64` so that no two field lists share an encoding.
 pub fn hash_fields(fields: &[&[u8]]) -> Hash {
-    let mut hasher = Sha256::new();
+    let mut hasher = FieldHasher::new();
     for field in fields {
-        hasher.update(&(field.len() as u64).to_be_bytes());
-        hasher.update(field);
+        hasher.field(field);
     }
     hasher.finalize()
+}
+
+/// [`hash_fields`] as a stream: each field goes into one [`Sha256`] as soon
+/// as it is known, so a caller that derives its fields in a loop needs no
+/// list of them. A field may be given in parts, which are hashed as their
+/// concatenation.
+///
+/// # Example
+///
+/// ```rust
+/// use xcc_tendermint::hash::{hash_fields, FieldHasher};
+///
+/// let mut hasher = FieldHasher::new();
+/// hasher.field(b"alice");
+/// hasher.field_parts(&[b"uatom", &7u64.to_be_bytes()]);
+/// let mut joined = b"uatom".to_vec();
+/// joined.extend_from_slice(&7u64.to_be_bytes());
+/// assert_eq!(hasher.finalize(), hash_fields(&[b"alice", &joined]));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct FieldHasher(Sha256);
+
+impl FieldHasher {
+    /// Creates a hasher with no fields.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends one field.
+    pub fn field(&mut self, field: &[u8]) {
+        self.field_parts(&[field]);
+    }
+
+    /// Appends one field whose bytes are the concatenation of `parts`.
+    pub fn field_parts(&mut self, parts: &[&[u8]]) {
+        let len: usize = parts.iter().map(|part| part.len()).sum();
+        self.0.update(&(len as u64).to_be_bytes());
+        for part in parts {
+            self.0.update(part);
+        }
+    }
+
+    /// The digest of the fields appended so far, equal to [`hash_fields`] of
+    /// the same fields.
+    pub fn finalize(self) -> Hash {
+        self.0.finalize()
+    }
 }
 
 #[cfg(test)]
@@ -363,5 +409,30 @@ mod tests {
         h.update(b"");
         h.update(b"c");
         assert_eq!(h.finalize(), sha256(b"abc"));
+    }
+
+    #[test]
+    fn field_hashing_follows_its_definition_whole_or_in_parts() {
+        let fields: Vec<Vec<u8>> = (0..9).map(|n| patterned(n * 23)).collect();
+        let refs: Vec<&[u8]> = fields.iter().map(Vec::as_slice).collect();
+        // Each field prefixed by its length as a big-endian u64, hashed as
+        // one message.
+        let mut framed = Vec::new();
+        for field in &fields {
+            framed.extend_from_slice(&(field.len() as u64).to_be_bytes());
+            framed.extend_from_slice(field);
+        }
+        let expected = sha256(&framed);
+        assert_eq!(hash_fields(&refs), expected);
+        assert_eq!(hash_fields(&[]), sha256(b""));
+        // Streamed with each field split in two parts, at every cut point.
+        for cut in 0..=fields.iter().map(Vec::len).max().unwrap_or(0) {
+            let mut hasher = FieldHasher::new();
+            for field in &fields {
+                let (head, tail) = field.split_at(cut.min(field.len()));
+                hasher.field_parts(&[head, tail]);
+            }
+            assert_eq!(hasher.finalize(), expected, "cut {cut}");
+        }
     }
 }

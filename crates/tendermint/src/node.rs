@@ -11,9 +11,9 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use crate::abci::{Application, DeliverTxResult, Event};
+use crate::abci::{Application, CheckTxResult, DeliverTxResult, Event};
 use crate::block::{evidence_hash, Block, BlockId, Data, Header, RawTx, Version};
-use crate::hash::{hash_fields, Hash};
+use crate::hash::{FieldHasher, Hash};
 use crate::mempool::{Mempool, MempoolConfig, MempoolError, PendingTx};
 use crate::params::{ConsensusParams, ConsensusTimingModel};
 use crate::validator::ValidatorSet;
@@ -234,7 +234,24 @@ impl<A: Application> Node<A> {
     ///
     /// Fails when `CheckTx` rejects the transaction or the mempool is full.
     pub fn submit_tx(&mut self, tx: RawTx, now: SimTime) -> Result<Hash, SubmitError> {
-        let check = self.app.check_tx(&tx);
+        self.submit_tx_with(tx, now, |app, raw| app.check_tx(raw))
+    }
+
+    /// Submits a transaction whose `CheckTx` is run by `check` instead of
+    /// [`Application::check_tx`]. A caller that already holds the decoded
+    /// form of `tx` uses this to run the application's check on it without
+    /// decoding `tx` again; `check` must give the result `check_tx` would.
+    ///
+    /// # Errors
+    ///
+    /// Fails when `check` rejects the transaction or the mempool is full.
+    pub fn submit_tx_with(
+        &mut self,
+        tx: RawTx,
+        now: SimTime,
+        check: impl FnOnce(&mut A, &RawTx) -> CheckTxResult,
+    ) -> Result<Hash, SubmitError> {
+        let check = check(&mut self.app, &tx);
         if !check.is_ok() {
             return Err(SubmitError::CheckTxFailed {
                 code: check.code,
@@ -413,22 +430,18 @@ pub enum TxStatus {
 }
 
 fn results_hash(results: &[DeliverTxResult]) -> Hash {
-    let encoded: Vec<Vec<u8>> = results
-        .iter()
-        .map(|r| {
-            let mut bytes = r.code.to_be_bytes().to_vec();
-            bytes.extend_from_slice(&r.gas_used.to_be_bytes());
-            bytes
-        })
-        .collect();
-    let refs: Vec<&[u8]> = encoded.iter().map(|e| e.as_slice()).collect();
-    hash_fields(&refs)
+    let mut hasher = FieldHasher::new();
+    for r in results {
+        hasher.field_parts(&[&r.code.to_be_bytes(), &r.gas_used.to_be_bytes()]);
+    }
+    hasher.finalize()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abci::{CheckTxResult, Event};
+    use crate::abci::Event;
+    use crate::hash::hash_fields;
 
     /// A minimal counter application for node tests: every transaction is
     /// accepted and emits one event.

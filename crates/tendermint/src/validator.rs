@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::hash::{hash_fields, Hash};
+use crate::hash::{hash_fields, FieldHasher, Hash};
 
 /// The address identifying a validator (derived from its public key).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -149,14 +149,11 @@ impl ValidatorSet {
 
     /// Hash of the validator set, recorded in block headers.
     pub fn hash(&self) -> Hash {
-        let mut fields: Vec<Vec<u8>> = Vec::with_capacity(self.validators.len());
+        let mut hasher = FieldHasher::new();
         for v in &self.validators {
-            let mut bytes = v.address.0.as_bytes().to_vec();
-            bytes.extend_from_slice(&v.voting_power.to_be_bytes());
-            fields.push(bytes);
+            hasher.field_parts(&[v.address.0.as_bytes(), &v.voting_power.to_be_bytes()]);
         }
-        let refs: Vec<&[u8]> = fields.iter().map(|f| f.as_slice()).collect();
-        hash_fields(&refs)
+        hasher.finalize()
     }
 }
 

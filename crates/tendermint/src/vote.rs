@@ -9,7 +9,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::block::BlockId;
-use crate::hash::{hash_fields, Hash};
+use crate::hash::{hash_fields, FieldHasher, Hash};
 use crate::validator::ValidatorAddress;
 use xcc_sim::SimTime;
 
@@ -138,20 +138,21 @@ pub struct Commit {
 impl Commit {
     /// Hash of the commit, recorded as `LastCommitHash` in the next header.
     pub fn hash(&self) -> Hash {
-        let mut fields: Vec<Vec<u8>> = Vec::with_capacity(self.signatures.len() + 1);
-        fields.push(self.block_id.hash.as_bytes().to_vec());
+        let mut hasher = FieldHasher::new();
+        hasher.field(self.block_id.hash.as_bytes());
         for sig in &self.signatures {
-            let mut bytes = sig.validator.0.as_bytes().to_vec();
-            bytes.extend_from_slice(sig.signature.as_bytes());
-            bytes.push(match sig.flag {
+            let flag = match sig.flag {
                 BlockIdFlag::Commit => 2,
                 BlockIdFlag::Nil => 1,
                 BlockIdFlag::Absent => 0,
-            });
-            fields.push(bytes);
+            };
+            hasher.field_parts(&[
+                sig.validator.0.as_bytes(),
+                sig.signature.as_bytes(),
+                &[flag],
+            ]);
         }
-        let refs: Vec<&[u8]> = fields.iter().map(|f| f.as_slice()).collect();
-        hash_fields(&refs)
+        hasher.finalize()
     }
 
     /// Number of signatures that committed to the block.
